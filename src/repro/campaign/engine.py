@@ -13,24 +13,22 @@ aggregates them into a :class:`~repro.campaign.report.CampaignReport`:
   from, independent of worker count.
 * **Shards are the unit of parallelism and of resume.**  Devices are
   chunked into shards of ``CampaignConfig.shard_size``; shards fan out
-  across ``fork`` workers (runner state is inherited at fork time,
-  never pickled) and results re-assemble in shard order, so any worker
-  count produces a byte-identical report.  Each completed shard
-  publishes a pickled checkpoint through the artifact cache under a
-  content-addressed key; a killed campaign restarted with
-  ``resume=True`` loads completed shards and re-executes none of them.
+  through the shared fork pool (:func:`repro.core.pool.ordered_map`:
+  runner state is inherited at fork time, never pickled) and results
+  re-assemble in shard order, so any worker count produces a
+  byte-identical report.  Each completed shard publishes a pickled
+  checkpoint through the artifact cache under a content-addressed key;
+  a killed campaign restarted with ``resume=True`` loads completed
+  shards and re-executes none of them.
 * **Telemetry mirrors the lifting engine's contract.**  Workers ship
   counter deltas back with each shard; the parent folds them in shard
-  order and emits the ``campaign.device`` event stream plus per-shard
-  spans.  In serial mode each device additionally records its own
-  nested span.
+  order and emits the ``campaign.device`` event stream.  Each shard
+  runs in a ``campaign.shard`` span with one nested span per device,
+  recorded in the parent's trace when the shard runs there.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,12 +37,12 @@ from ..baselines.silifuzz_lite import SiliFuzzLite
 from ..core import telemetry
 from ..core.artifacts import ArtifactCache
 from ..core.config import CampaignConfig
+from ..core.pool import ordered_map
 from ..core.rng import stream_seed
 from ..cpu.cosim import GateAluBackend, GateFpuBackend, GateMduBackend
 from ..integration.library_gen import AgingLibrary
 from ..lifting.instrument import make_failing_netlist
 from ..lifting.models import CMode, FailureModel
-from ..lifting.parallel import fork_available
 from ..netlist.netlist import Netlist
 from .fleet import DeviceSpec, fleet_digest, sample_fleet
 from .report import CampaignReport
@@ -350,31 +348,12 @@ class DeviceRunner:
         raise ValueError(f"unknown campaign suite {suite!r}")
 
 
-# ---------------------------------------------------------------------
-# Fork-worker plumbing (mirrors repro.lifting.parallel).
-# ---------------------------------------------------------------------
-_WORKER_RUNNER: Optional[DeviceRunner] = None
-
-
-def _init_worker(runner: DeviceRunner) -> None:
-    """Install the campaign runner in a freshly forked worker."""
-    global _WORKER_RUNNER
-    telemetry.install(telemetry.Telemetry(run_id="campaign-worker"))
-    _WORKER_RUNNER = runner
-
-
 def _run_shard(
-    task: Tuple[int, List[DeviceSpec]]
-) -> Tuple[int, List[DeviceResult], float, Dict[str, float]]:
-    shard_index, specs = task
-    assert _WORKER_RUNNER is not None
-    tele = telemetry.active()
-    base = tele.snapshot() if tele is not None else {}
-    t0 = time.perf_counter()
-    results = [_WORKER_RUNNER.run_device(spec) for spec in specs]
-    wall = time.perf_counter() - t0
-    deltas = tele.counter_deltas(base) if tele is not None else {}
-    return shard_index, results, wall, deltas
+    runner: DeviceRunner, task: Tuple[int, List[DeviceSpec]]
+) -> List[DeviceResult]:
+    index, specs = task
+    with telemetry.span("campaign.shard", shard=index, devices=len(specs)):
+        return [runner.run_device(spec) for spec in specs]
 
 
 class CampaignEngine:
@@ -623,86 +602,20 @@ class CampaignEngine:
         pending: Sequence[Tuple[int, List[DeviceSpec]]],
         campaign_key: str,
     ):
-        """Yield ``(shard_index, results)``, checkpointing each shard."""
-        workers = int(self.config.workers)
-        if workers <= 0:
-            workers = os.cpu_count() or 1
-        workers = min(workers, len(pending)) if pending else 1
-        if workers > 1 and fork_available():
-            yield from self._execute_pool(
-                runner, pending, campaign_key, workers
-            )
-            return
-        yield from self._execute_serial(runner, pending, campaign_key)
+        """Yield ``(shard_index, results)``, checkpointing each shard.
 
-    def _execute_serial(
-        self,
-        runner: DeviceRunner,
-        pending: Sequence[Tuple[int, List[DeviceSpec]]],
-        campaign_key: str,
-    ):
-        for index, shard in pending:
-            with telemetry.span(
-                "campaign.shard", shard=index, devices=len(shard)
-            ):
-                t0 = time.perf_counter()
-                results = [runner.run_device(spec) for spec in shard]
-                self._finish_shard(
-                    campaign_key,
-                    index,
-                    shard,
-                    results,
-                    time.perf_counter() - t0,
-                )
+        Results arrive in shard order as each shard finishes, so a
+        killed run keeps every shard that completed before it.
+        """
+        shards = ordered_map(
+            _run_shard, pending, self.config.workers, state=runner,
+            name="campaign",
+        )
+        # The pool generator goes first so zip runs it to the end: the
+        # pool shuts down and logs its event before the loop exits.
+        for (results, wall), (index, shard) in zip(shards, pending):
+            self._finish_shard(campaign_key, index, shard, results, wall)
             yield index, results
-
-    def _execute_pool(
-        self,
-        runner: DeviceRunner,
-        pending: Sequence[Tuple[int, List[DeviceSpec]]],
-        campaign_key: str,
-        workers: int,
-    ):
-        ctx = multiprocessing.get_context("fork")
-        shard_by_index = dict(pending)
-        t_pool = time.perf_counter()
-        try:
-            pool = ctx.Pool(
-                processes=workers,
-                initializer=_init_worker,
-                initargs=(runner,),
-            )
-        except (OSError, ValueError):  # pool could not start: degrade
-            yield from self._execute_serial(runner, pending, campaign_key)
-            return
-        tele = telemetry.active()
-        busy = 0.0
-        with pool:
-            # imap preserves submission order and lets finished shards
-            # checkpoint while stragglers are still running.
-            for index, results, wall, deltas in pool.imap(
-                _run_shard, list(pending)
-            ):
-                if tele is not None:
-                    tele.merge_counters(deltas)
-                busy += wall
-                self._finish_shard(
-                    campaign_key,
-                    index,
-                    shard_by_index[index],
-                    results,
-                    wall,
-                )
-                yield index, results
-        elapsed = time.perf_counter() - t_pool
-        if tele is not None and elapsed > 0:
-            telemetry.event(
-                "campaign.pool",
-                workers=workers,
-                elapsed_s=round(elapsed, 6),
-                busy_s=round(busy, 6),
-                utilization=round(busy / (elapsed * workers), 4),
-            )
 
     def _finish_shard(
         self,

@@ -27,8 +27,9 @@ respond        detection→response reconfiguration policies
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from typing import Optional
+from typing import Optional, Tuple
 
 from .core.experiments import default_context
 from .lifting.models import CMode, FailureModel, ViolationKind
@@ -56,13 +57,45 @@ def _add_surrogate_data(p: argparse.ArgumentParser) -> None:
                    help="labeled sweep size (default: 96)")
     p.add_argument("--seed", type=int, default=7,
                    help="surrogate seed; drives every dataset draw")
-    p.add_argument("--workers", type=int, default=1,
-                   help="fork workers for oracle labeling; 0 = one per "
-                        "CPU (rows are byte-identical for any count)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the artifact cache and re-label")
-    p.add_argument("--cache-dir", default=".vega-cache",
-                   help="artifact cache root (default: .vega-cache)")
+
+
+def _shared_flags() -> Tuple[argparse.ArgumentParser, ...]:
+    """Flags several verbs share, each declared once as a parent parser.
+
+    Returns the ``(workers, cache, resume, trace)`` parents: fork pool
+    width, the artifact cache, restart from its checkpoints, and the
+    telemetry output of the traced verbs (see :func:`_traced`).
+    """
+    workers, cache, resume, trace = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4)
+    )
+    workers.add_argument(
+        "--workers", type=int, default=1,
+        help="fork worker processes; 0 = one per usable CPU (results "
+             "are byte-identical for any count; serial without fork)",
+    )
+    cache.add_argument(
+        "--no-cache", action="store_true",
+        help="disable the artifact cache (and its checkpoints)",
+    )
+    cache.add_argument(
+        "--cache-dir", default=".vega-cache",
+        help="artifact cache root (default: .vega-cache)",
+    )
+    resume.add_argument(
+        "--resume", action="store_true",
+        help="resume from the checkpoints in the artifact cache instead "
+             "of starting fresh (requires the cache)",
+    )
+    trace.add_argument(
+        "--trace", metavar="FILE",
+        help="write the JSONL telemetry trace to FILE",
+    )
+    trace.add_argument(
+        "--metrics", action="store_true",
+        help="print the markdown metrics summary",
+    )
+    return workers, cache, resume, trace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,44 +105,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "silent data corruptions (ASPLOS'24 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    workers, cache, resume, trace = _shared_flags()
+    # The traced verbs: run, campaign run, attack search/run, respond.
+    traced = [workers, cache, resume, trace]
 
     sub.add_parser("workloads", help="list benchmark workloads")
 
     p = sub.add_parser(
         "run",
         help="full three-phase workflow with tracing and checkpoints",
+        parents=traced,
     )
     _add_unit(p)
     _add_mitigation(p)
     p.add_argument(
-        "--trace", metavar="FILE",
-        help="write the run's JSONL telemetry trace to FILE",
-    )
-    p.add_argument(
-        "--metrics", action="store_true",
-        help="print the markdown metrics summary after the report",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="resume a killed/failed run from its phase checkpoints "
-             "(requires the artifact cache)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for profiling and lifting; 0 = one per "
-             "CPU (results are identical for any worker count)",
-    )
-    p.add_argument(
         "--max-paths", type=int, default=50,
         help="violating-path cap per endpoint for phase-1 STA",
-    )
-    p.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the artifact cache (also disables checkpoints)",
-    )
-    p.add_argument(
-        "--cache-dir", default=".vega-cache",
-        help="artifact cache root (default: .vega-cache)",
     )
 
     p = sub.add_parser(
@@ -126,22 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "profile",
         help="SP profiling + aged delay model (phase 1, parallel + cached)",
+        parents=[workers, cache],
     )
     _add_unit(p)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="shard the workload's cycle ranges across N profiling "
-             "processes; 0 = one per CPU (profiles are bit-identical "
-             "for any worker count; serial fallback without fork)",
-    )
-    p.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the content-addressed artifact cache and re-simulate",
-    )
-    p.add_argument(
-        "--cache-dir", default=".vega-cache",
-        help="artifact cache root (default: .vega-cache)",
-    )
     p.add_argument(
         "--reference-sta", action="store_true",
         help="use the dict-walking reference STA instead of the "
@@ -154,15 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print the N worst violating paths in "
                         "report_timing style")
 
-    p = sub.add_parser("lift", help="error lifting (phase 2)")
+    p = sub.add_parser(
+        "lift", help="error lifting (phase 2)", parents=[workers]
+    )
     _add_unit(p)
     _add_mitigation(p)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="shard endpoint pairs across N processes; 0 = one per CPU "
-             "(results are deterministic; serial fallback when fork is "
-             "unavailable)",
-    )
 
     p = sub.add_parser("suite", help="emit test-suite artifacts")
     _add_unit(p)
@@ -214,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="sample a virtual fleet and run the detection suites "
              "against every device (bit-identical for any --workers)",
+        parents=traced,
     )
     _add_unit(p)
     _add_mitigation(p)
@@ -221,9 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fleet size (default: 12)")
     p.add_argument("--seed", type=int, default=2024,
                    help="campaign seed; drives every fleet draw")
-    p.add_argument("--workers", type=int, default=1,
-                   help="fork workers for device shards; 0 = one per CPU "
-                        "(reports are bit-identical for any worker count)")
     p.add_argument("--shard-size", type=int, default=4,
                    help="devices per shard (the checkpoint/resume unit)")
     p.add_argument("--no-packed", action="store_true",
@@ -240,19 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--onset-years", type=float, default=None,
                    help="base violation-onset age; defaults to a "
                         "lifetime-sweep estimate for the unit")
-    p.add_argument("--resume", action="store_true",
-                   help="skip device shards already checkpointed in the "
-                        "artifact cache")
     p.add_argument("--report", metavar="FILE",
                    help="write the CampaignReport JSON to FILE")
-    p.add_argument("--trace", metavar="FILE",
-                   help="write the campaign's JSONL telemetry trace")
-    p.add_argument("--metrics", action="store_true",
-                   help="print the markdown metrics summary")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the artifact cache (and shard resume)")
-    p.add_argument("--cache-dir", default=".vega-cache",
-                   help="artifact cache root (default: .vega-cache)")
     p = campaign_sub.add_parser(
         "report", help="render a CampaignReport JSON file as markdown"
     )
@@ -283,34 +264,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="operations per candidate stream")
         p.add_argument("--lanes", type=int, default=64,
                        help="packed profiling lanes per candidate")
-        p.add_argument("--workers", type=int, default=1,
-                       help="fork workers for profiling and device "
-                            "shards; 0 = one per CPU (results are "
-                            "byte-identical for any count)")
-        p.add_argument("--resume", action="store_true",
-                       help="resume from round/shard checkpoints in the "
-                            "artifact cache")
         p.add_argument("--report", metavar="FILE",
                        help="write the result JSON to FILE")
-        p.add_argument("--trace", metavar="FILE",
-                       help="write the JSONL telemetry trace")
-        p.add_argument("--metrics", action="store_true",
-                       help="print the markdown metrics summary")
-        p.add_argument("--no-cache", action="store_true",
-                       help="disable the artifact cache (and resume)")
-        p.add_argument("--cache-dir", default=".vega-cache",
-                       help="artifact cache root (default: .vega-cache)")
 
     p = attack_sub.add_parser(
         "search",
         help="search for the operand stream maximizing BTI stress on "
              "the unit's violating cones",
+        parents=traced,
     )
     _add_attack_search(p)
     p = attack_sub.add_parser(
         "run",
         help="attack-fleet campaign: natural vs attacked twins at "
              "equal suite budget, reporting detection lead",
+        parents=traced,
     )
     _add_attack_search(p)
     _add_mitigation(p)
@@ -333,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         "respond",
         help="evaluate reconfiguration responses (derate / resynth / "
              "approximate) against the unit's aged timing",
+        parents=traced,
     )
     _add_unit(p)
     p.add_argument("--policies", default="derate,resynth,approximate",
@@ -344,23 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "policy's accuracy cost")
     p.add_argument("--seed", type=int, default=17,
                    help="seed for the response.accuracy RNG stream")
-    p.add_argument("--workers", type=int, default=1,
-                   help="fork workers for re-profiling modified "
-                        "netlists; 0 = one per CPU (reports are "
-                        "byte-identical for any count)")
-    p.add_argument("--resume", action="store_true",
-                   help="resume from per-policy checkpoints in the "
-                        "artifact cache")
     p.add_argument("--report", metavar="FILE",
                    help="write the ResponseReport JSON to FILE")
-    p.add_argument("--trace", metavar="FILE",
-                   help="write the JSONL telemetry trace")
-    p.add_argument("--metrics", action="store_true",
-                   help="print the markdown metrics summary")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the artifact cache (and resume)")
-    p.add_argument("--cache-dir", default=".vega-cache",
-                   help="artifact cache root (default: .vega-cache)")
 
     p = sub.add_parser(
         "bench",
@@ -402,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate the labeled sweep (cached, parallel), fit the "
              "ridge surrogate, calibrate the triage threshold, and "
              "validate held-out recall (fails closed below the floor)",
+        parents=[workers, cache],
     )
     _add_surrogate_data(p)
     p.add_argument("-o", "--output", default=None, metavar="FILE",
@@ -411,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate",
         help="re-validate a trained surrogate snapshot against the "
              "held-out rows of its labeled sweep",
+        parents=[workers, cache],
     )
     _add_surrogate_data(p)
     p.add_argument("--model", required=True, metavar="FILE",
@@ -445,15 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the online detection service over a simulated fleet "
              "(streaming ingestion, belief checkpoints, event log)",
+        parents=[cache, resume],
     )
     _add_scheduler(p)
     p.add_argument("--kill-after", type=int, default=None, metavar="N",
                    help="simulate an abrupt service death after N "
                         "ingested results (for restart drills; with "
                         "--shards, N counts the killed shard's events)")
-    p.add_argument("--resume", action="store_true",
-                   help="resume from the latest belief checkpoint "
-                        "instead of starting fresh")
     p.add_argument("--shards", type=int, default=None, metavar="N",
                    help="shard the fleet belief across N worker "
                         "processes behind the frame-protocol router "
@@ -484,6 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         "schedule",
         help="drive an adaptive dispatch schedule to completion and "
              "report per-policy detection outcomes",
+        parents=[cache],
     )
     _add_scheduler(p)
     p.add_argument("--report", metavar="FILE",
@@ -534,10 +489,6 @@ def _add_scheduler(p) -> None:
                         "lifetime-sweep estimate for the unit")
     p.add_argument("--log", metavar="FILE",
                    help="write the JSONL event log to FILE")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the artifact cache (and checkpoints)")
-    p.add_argument("--cache-dir", default=".vega-cache",
-                   help="artifact cache root (default: .vega-cache)")
 
 
 def _model_from_args(args) -> FailureModel:
@@ -549,6 +500,44 @@ def _model_from_args(args) -> FailureModel:
     )
 
 
+def _resume_without_cache(args) -> bool:
+    """``--resume --no-cache`` is a usage error (the caller exits 2)."""
+    if args.resume and args.no_cache:
+        print("--resume needs the artifact cache (drop --no-cache)",
+              file=sys.stderr)
+        return True
+    return False
+
+
+def _traced(verb):
+    """Shell of the traced verbs: run, campaign run, attack, respond.
+
+    Rejects ``--resume --no-cache`` with exit 2, runs ``verb`` under a
+    fresh :class:`~repro.core.telemetry.Telemetry`, then writes the
+    trace (``--trace``) and prints the metrics summary (``--metrics``)
+    after the verb's own output.
+    """
+
+    @functools.wraps(verb)
+    def run(args, out) -> int:
+        from .core import telemetry
+
+        if _resume_without_cache(args):
+            return 2
+        tele = telemetry.Telemetry()
+        with telemetry.use(tele):
+            code = verb(args, out)
+        if args.trace:
+            tele.write_jsonl(args.trace)
+            print(f"  trace written to {args.trace}", file=out)
+        if args.metrics:
+            print(file=out)
+            print(tele.summary_markdown(), file=out)
+        return code
+
+    return run
+
+
 def cmd_workloads(args, out) -> int:
     from .workloads import WORKLOADS
 
@@ -557,6 +546,7 @@ def cmd_workloads(args, out) -> int:
     return 0
 
 
+@_traced
 def cmd_run(args, out) -> int:
     from .core.config import (
         AgingAnalysisConfig,
@@ -565,10 +555,6 @@ def cmd_run(args, out) -> int:
     )
     from .core.workflow import VegaWorkflow
 
-    if args.resume and args.no_cache:
-        print("--resume needs the artifact cache (drop --no-cache)",
-              file=sys.stderr)
-        return 2
     ctx = default_context()
     unit = ctx.unit(args.unit)
     config = VegaConfig(
@@ -595,12 +581,6 @@ def cmd_run(args, out) -> int:
     if report.resumed_phases:
         print("  resumed from checkpoints: "
               + ", ".join(report.resumed_phases), file=out)
-    if args.trace:
-        report.write_trace(args.trace)
-        print(f"  trace written to {args.trace}", file=out)
-    if args.metrics:
-        print(file=out)
-        print(report.metrics_markdown(), file=out)
     return 0
 
 
@@ -816,7 +796,7 @@ def cmd_models(args, out) -> int:
 
 
 def cmd_campaign(args, out) -> int:
-    from .campaign import CampaignEngine, CampaignReport
+    from .campaign import CampaignReport
 
     if args.campaign_command == "report":
         try:
@@ -827,15 +807,15 @@ def cmd_campaign(args, out) -> int:
             return 1
         print(report.to_markdown(), file=out)
         return 0
+    return _campaign_run(args, out)
 
-    from .core import telemetry
+
+@_traced
+def _campaign_run(args, out) -> int:
+    from .campaign import CampaignEngine
     from .core.artifacts import ArtifactCache
     from .core.config import CampaignConfig
 
-    if args.resume and args.no_cache:
-        print("--resume needs the artifact cache (drop --no-cache)",
-              file=sys.stderr)
-        return 2
     suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
     config = CampaignConfig(
         devices=args.devices,
@@ -849,16 +829,13 @@ def cmd_campaign(args, out) -> int:
         pack_width=args.pack_width,
     )
     cache = None if args.no_cache else ArtifactCache(args.cache_dir)
-    ctx = default_context()
-    tele = telemetry.Telemetry()
-    with telemetry.use(tele):
-        engine = CampaignEngine.for_unit(
-            ctx.unit(args.unit),
-            config=config,
-            cache=cache,
-            mitigation=args.mitigation,
-        )
-        report = engine.run(resume=args.resume)
+    engine = CampaignEngine.for_unit(
+        default_context().unit(args.unit),
+        config=config,
+        cache=cache,
+        mitigation=args.mitigation,
+    )
+    report = engine.run(resume=args.resume)
     print(report.summary(), file=out)
     if engine.resumed_shards:
         print(f"  resumed {len(engine.resumed_shards)} shard(s) from "
@@ -870,12 +847,6 @@ def cmd_campaign(args, out) -> int:
         with open(args.report, "w") as fp:
             fp.write(report.to_json())
         print(f"  report written to {args.report}", file=out)
-    if args.trace:
-        tele.write_jsonl(args.trace)
-        print(f"  trace written to {args.trace}", file=out)
-    if args.metrics:
-        print(file=out)
-        print(tele.summary_markdown(), file=out)
     return 0
 
 
@@ -1103,9 +1074,7 @@ def cmd_serve(args, out) -> int:
         print(f"unknown policy {args.policy!r} "
               f"(known: {', '.join(sorted(POLICIES))})", file=sys.stderr)
         return 2
-    if args.resume and args.no_cache:
-        print("--resume needs the artifact cache (drop --no-cache)",
-              file=sys.stderr)
+    if _resume_without_cache(args):
         return 2
     if args.kill_shard is not None and args.shards is None:
         print("--kill-shard needs --shards", file=sys.stderr)
@@ -1301,6 +1270,7 @@ def cmd_integrate(args, out) -> int:
     return 0
 
 
+@_traced
 def cmd_attack(args, out) -> int:
     from .adversary import (
         AttackReport,
@@ -1308,14 +1278,9 @@ def cmd_attack(args, out) -> int:
         derive_base_onset,
         sample_attack_fleet,
     )
-    from .core import telemetry
     from .core.artifacts import ArtifactCache
     from .core.config import AdversaryConfig
 
-    if args.resume and args.no_cache:
-        print("--resume needs the artifact cache (drop --no-cache)",
-              file=sys.stderr)
-        return 2
     cache = None if args.no_cache else ArtifactCache(args.cache_dir)
     adv_config = AdversaryConfig(
         seed=args.attack_seed,
@@ -1329,55 +1294,53 @@ def cmd_attack(args, out) -> int:
     )
     ctx = default_context()
     unit = ctx.unit(args.unit)
-    tele = telemetry.Telemetry()
-    with telemetry.use(tele):
-        pairs = unit.sta_result.report.unique_endpoint_pairs()
-        search = AttackSearch(
-            unit.netlist, args.unit, unit.sp_profile, pairs,
-            config=adv_config, cache=cache,
-        )
-        result, _best_stream = search.run(resume=args.resume)
-        report = None
-        if args.attack_command == "run":
-            from .campaign import CampaignEngine
-            from .campaign.fleet import sample_fleet
-            from .core.config import CampaignConfig
+    pairs = unit.sta_result.report.unique_endpoint_pairs()
+    search = AttackSearch(
+        unit.netlist, args.unit, unit.sp_profile, pairs,
+        config=adv_config, cache=cache,
+    )
+    result, _best_stream = search.run(resume=args.resume)
+    report = None
+    if args.attack_command == "run":
+        from .campaign import CampaignEngine
+        from .campaign.fleet import sample_fleet
+        from .core.config import CampaignConfig
 
-            suites = tuple(
-                s.strip() for s in args.suites.split(",") if s.strip()
+        suites = tuple(
+            s.strip() for s in args.suites.split(",") if s.strip()
+        )
+        config = CampaignConfig(
+            devices=args.devices,
+            seed=args.seed,
+            shard_size=args.shard_size,
+            workers=args.workers,
+            suites=suites,
+            base_onset_years=args.onset_years,
+        )
+        base = derive_base_onset(unit, config)
+        models = unit.failure_models()
+        library = unit.suite(args.mitigation)
+        natural_fleet = sample_fleet(config, models, base)
+        attack_fleet = sample_attack_fleet(
+            config, models, base, result.acceleration,
+            attack_fraction=args.attack_fraction,
+            attack_seed=args.attack_seed,
+        )
+        campaigns = []
+        for fleet in (natural_fleet, attack_fleet):
+            engine = CampaignEngine(
+                unit.netlist, args.unit, library, models,
+                config=config, cache=cache, base_onset_years=base,
+                fleet=fleet,
             )
-            config = CampaignConfig(
-                devices=args.devices,
-                seed=args.seed,
-                shard_size=args.shard_size,
-                workers=args.workers,
-                suites=suites,
-                base_onset_years=args.onset_years,
-            )
-            base = derive_base_onset(unit, config)
-            models = unit.failure_models()
-            library = unit.suite(args.mitigation)
-            natural_fleet = sample_fleet(config, models, base)
-            attack_fleet = sample_attack_fleet(
-                config, models, base, result.acceleration,
-                attack_fraction=args.attack_fraction,
-                attack_seed=args.attack_seed,
-            )
-            campaigns = []
-            for fleet in (natural_fleet, attack_fleet):
-                engine = CampaignEngine(
-                    unit.netlist, args.unit, library, models,
-                    config=config, cache=cache, base_onset_years=base,
-                    fleet=fleet,
-                )
-                campaigns.append(engine.run(resume=args.resume))
-            report = AttackReport.from_campaigns(
-                result, natural_fleet, attack_fleet,
-                campaigns[0], campaigns[1],
-                attack_fraction=args.attack_fraction,
-                attack_seed=args.attack_seed,
-                budget_instructions=config.max_suite_instructions,
-            )
+            campaigns.append(engine.run(resume=args.resume))
+        report = AttackReport.from_campaigns(
+            result, natural_fleet, attack_fleet,
+            campaigns[0], campaigns[1],
+            attack_fraction=args.attack_fraction,
+            attack_seed=args.attack_seed,
+            budget_instructions=config.max_suite_instructions,
+        )
     print(result.summary(), file=out)
     if search.resumed_rounds:
         print(f"  resumed from round checkpoint "
@@ -1388,26 +1351,16 @@ def cmd_attack(args, out) -> int:
         with open(args.report, "w") as fp:
             fp.write((report or result).to_json())
         print(f"  report written to {args.report}", file=out)
-    if args.trace:
-        tele.write_jsonl(args.trace)
-        print(f"  trace written to {args.trace}", file=out)
-    if args.metrics:
-        print(file=out)
-        print(tele.summary_markdown(), file=out)
     return 0
 
 
+@_traced
 def cmd_respond(args, out) -> int:
-    from .core import telemetry
     from .core.artifacts import ArtifactCache
     from .core.config import ResponseConfig
     from .core.experiments import CLOCK_CHAIN_LENGTH
     from .response import ResponseEngine
 
-    if args.resume and args.no_cache:
-        print("--resume needs the artifact cache (drop --no-cache)",
-              file=sys.stderr)
-        return 2
     cache = None if args.no_cache else ArtifactCache(args.cache_dir)
     policies = tuple(
         p.strip() for p in args.policies.split(",") if p.strip()
@@ -1421,20 +1374,18 @@ def cmd_respond(args, out) -> int:
     )
     ctx = default_context()
     unit = ctx.unit(args.unit)
-    tele = telemetry.Telemetry()
-    with telemetry.use(tele):
-        engine = ResponseEngine(
-            unit.netlist,
-            args.unit,
-            unit.sp_profile,
-            aging=ctx.config.aging,
-            config=config,
-            gated_instances=unit.gated_instances(),
-            clock_chain_length=CLOCK_CHAIN_LENGTH,
-            cache=cache,
-            operands=ctx.stream(args.unit),
-        )
-        report = engine.evaluate(resume=args.resume)
+    engine = ResponseEngine(
+        unit.netlist,
+        args.unit,
+        unit.sp_profile,
+        aging=ctx.config.aging,
+        config=config,
+        gated_instances=unit.gated_instances(),
+        clock_chain_length=CLOCK_CHAIN_LENGTH,
+        cache=cache,
+        operands=ctx.stream(args.unit),
+    )
+    report = engine.evaluate(resume=args.resume)
     print(report.summary(), file=out)
     if engine.resumed_policies:
         print(f"  resumed from checkpoints: "
@@ -1443,12 +1394,6 @@ def cmd_respond(args, out) -> int:
         with open(args.report, "w") as fp:
             fp.write(report.to_json())
         print(f"  report written to {args.report}", file=out)
-    if args.trace:
-        tele.write_jsonl(args.trace)
-        print(f"  trace written to {args.trace}", file=out)
-    if args.metrics:
-        print(file=out)
-        print(tele.summary_markdown(), file=out)
     return 0
 
 

@@ -31,17 +31,6 @@ class WorkflowReport:
     #: Phases loaded from checkpoints instead of recomputed.
     resumed_phases: List[str] = field(default_factory=list)
 
-    def metrics_markdown(self) -> str:
-        """Markdown metrics summary of the run's telemetry trace."""
-        if self.telemetry is None:
-            return ""
-        return self.telemetry.summary_markdown()
-
-    def write_trace(self, path: str) -> None:
-        """Write the run's JSONL trace (no-op without telemetry)."""
-        if self.telemetry is not None:
-            self.telemetry.write_jsonl(path)
-
     def summary(self) -> str:
         lines = [f"Vega workflow report for {self.netlist_name!r}"]
         if self.sta_report is not None:

@@ -17,7 +17,7 @@ from .lifter import (
     VariantResult,
 )
 from .models import CMode, EdgeQualifier, FailureModel, ViolationKind
-from .parallel import fork_available, lift_pairs
+from .parallel import lift_pairs
 from .testcase import (
     IsaMapper,
     TestCase,
@@ -43,7 +43,6 @@ __all__ = [
     "EdgeQualifier",
     "FailureModel",
     "ViolationKind",
-    "fork_available",
     "lift_pairs",
     "IsaMapper",
     "TestCase",

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -35,8 +33,8 @@ from ..bench.sample import canon_value, canonical_dumps
 from ..core import telemetry
 from ..core.artifacts import ArtifactCache
 from ..core.config import SurrogateConfig
+from ..core.pool import ordered_map, resolve_workers
 from ..core.rng import stream_rng, stream_seed
-from ..lifting.parallel import fork_available
 from ..netlist.cells import CellLibrary
 from ..netlist.netlist import Netlist
 from ..sim.probes import SPProfile
@@ -197,13 +195,9 @@ class SurrogateDataset:
         )
 
 
-def _label_row(
-    index: int,
-    config: SurrogateConfig,
-    featurizer: FleetFeaturizer,
-    oracle: ExactAgingOracle,
-    base_sp: np.ndarray,
-) -> Dict[str, Any]:
+def _label_row(state: tuple, index: int) -> Dict[str, Any]:
+    """One labeled row; ``state`` is (config, featurizer, oracle, base SP)."""
+    config, featurizer, oracle, base_sp = state
     intensity, corner_name, age = sample_draws(config, index)
     sp = device_sp_vector(
         base_sp, intensity, config.noise, config.seed, index
@@ -224,25 +218,6 @@ def _label_row(
             "features": features.tolist(),
         }
     )
-
-
-# -- fork-worker plumbing (mirrors repro.campaign.engine) ---------------
-_WORKER_STATE: Optional[tuple] = None
-
-
-def _init_dataset_worker(state: tuple) -> None:
-    global _WORKER_STATE
-    telemetry.install(telemetry.Telemetry(run_id="surrogate-worker"))
-    _WORKER_STATE = state
-
-
-def _label_chunk(indices: List[int]) -> List[Dict[str, Any]]:
-    assert _WORKER_STATE is not None
-    config, featurizer, oracle, base_sp = _WORKER_STATE
-    return [
-        _label_row(index, config, featurizer, oracle, base_sp)
-        for index in indices
-    ]
 
 
 def dataset_key(
@@ -281,10 +256,10 @@ def generate_dataset(
 ) -> SurrogateDataset:
     """Run the labeled sweep (cached, parallel, byte-deterministic).
 
-    Rows are generated for indices ``0..samples-1``; workers label
-    contiguous chunks and results reassemble in index order, so the
-    output is byte-identical for any ``config.workers`` and across
-    process restarts.
+    Rows are generated for indices ``0..samples-1``; workers label one
+    row per task and results reassemble in index order, so the output
+    is byte-identical for any ``config.workers`` and across process
+    restarts.
     """
     config = config or SurrogateConfig()
     key = dataset_key(netlist, base_profile, config)
@@ -296,52 +271,22 @@ def generate_dataset(
     featurizer = FleetFeaturizer(netlist, buckets=config.level_buckets)
     oracle = ExactAgingOracle(netlist, library, config=config)
     base_sp = featurizer.base_vector(base_profile)
-    indices = list(range(config.samples))
-    workers = int(config.workers)
-    if workers <= 0:
-        workers = os.cpu_count() or 1
-    workers = min(workers, max(1, len(indices)))
-
     with telemetry.span(
         "surrogate.dataset",
         netlist=netlist.name,
         samples=config.samples,
-        workers=workers,
+        workers=resolve_workers(config.workers, config.samples),
     ):
-        if workers > 1 and fork_available():
-            chunk = max(1, (len(indices) + workers - 1) // workers)
-            chunks = [
-                indices[start : start + chunk]
-                for start in range(0, len(indices), chunk)
-            ]
-            ctx = multiprocessing.get_context("fork")
-            state = (config, featurizer, oracle, base_sp)
-            try:
-                pool = ctx.Pool(
-                    processes=min(workers, len(chunks)),
-                    initializer=_init_dataset_worker,
-                    initargs=(state,),
-                )
-            except (OSError, ValueError):
-                pool = None
-            if pool is None:
-                rows = [
-                    _label_row(i, config, featurizer, oracle, base_sp)
-                    for i in indices
-                ]
-            else:
-                with pool:
-                    # imap preserves chunk submission order.
-                    rows = [
-                        row
-                        for part in pool.imap(_label_chunk, chunks)
-                        for row in part
-                    ]
-        else:
-            rows = [
-                _label_row(i, config, featurizer, oracle, base_sp)
-                for i in indices
-            ]
+        rows = [
+            row
+            for row, _wall in ordered_map(
+                _label_row,
+                range(config.samples),
+                config.workers,
+                state=(config, featurizer, oracle, base_sp),
+                name="surrogate",
+            )
+        ]
         telemetry.add("surrogate.dataset.rows", len(rows))
 
     dataset = SurrogateDataset(

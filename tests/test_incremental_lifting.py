@@ -22,7 +22,8 @@ from repro.formal.bmc import BmcStatus, BoundedModelChecker, CoverObjective
 from repro.lifting.instrument import instrument_for_cover
 from repro.lifting.lifter import ErrorLifter
 from repro.lifting.models import CMode, FailureModel, ViolationKind
-from repro.lifting.parallel import fork_available, lift_pairs
+from repro.core.pool import fork_available
+from repro.lifting.parallel import lift_pairs
 from repro.sta.timing import TimingViolation
 
 
@@ -154,9 +155,10 @@ class TestParallelLifting:
         )
 
     def test_serial_fallback_without_fork(self, paper_adder, monkeypatch):
+        import repro.core.pool as pool_mod
         import repro.lifting.parallel as parallel_mod
 
-        monkeypatch.setattr(parallel_mod, "fork_available", lambda: False)
+        monkeypatch.setattr(pool_mod, "fork_available", lambda: False)
         lifter = self._lifter(paper_adder)
         results = parallel_mod.lift_pairs(lifter, ADDER_VIOLATIONS, workers=8)
         assert _fingerprint(results) == _fingerprint(

@@ -16,8 +16,8 @@ from repro.core.config import AgingAnalysisConfig, VegaConfig
 from repro.core.example import build_paper_adder
 from repro.core.workflow import VegaWorkflow
 from repro.sim.gatesim import simulated_cycles
+from repro.core.pool import fork_available
 from repro.sim.parallel_profile import (
-    fork_available,
     plan_chunks,
     profile_operand_stream_parallel,
     profile_operand_stream_reference,

@@ -260,8 +260,8 @@ class TestParallelProfileEquivalence:
     )
     @settings(max_examples=8, deadline=None)
     def test_worker_count_invariance(self, seed, workers):
+        from repro.core.pool import fork_available
         from repro.sim.parallel_profile import (
-            fork_available,
             profile_operand_stream_parallel,
         )
 

@@ -160,6 +160,23 @@ class TestDatasetDeterminism:
         assert serial.to_json() == forked.to_json()
         assert serial.digest() == forked.digest()
 
+    def test_worker_counters_come_home(self, paper_adder, paper_lib):
+        """Forked labeling ships the oracle's counters to the parent."""
+        from repro.core import telemetry
+
+        counters = {}
+        for workers in (1, 2):
+            tele = telemetry.Telemetry()
+            with telemetry.use(tele):
+                self._generate(paper_adder, paper_lib, workers=workers)
+            counters[workers] = {
+                name: value
+                for name, value in tele.counters.items()
+                if not name.endswith("_s")  # wall times differ
+            }
+        assert counters[1]["surrogate.oracle.probes"] > 0
+        assert counters[2] == counters[1]
+
     def test_restart_yields_identical_digest(
         self, paper_adder, paper_lib, tmp_path
     ):
