@@ -27,6 +27,7 @@ from ..core.config import (
     TestIntegrationConfig,
     VegaConfig,
 )
+from ..core import telemetry
 from ..core.rng import stream_seed
 from ..cpu.alu_design import build_alu
 from ..cpu.cosim import GateAluBackend, GateFpuBackend, GateMduBackend
@@ -39,7 +40,7 @@ from ..lifting.models import CMode
 from ..netlist.netlist import Netlist
 from ..sim.probes import SPProfile, profile_operand_stream
 from ..sta.aging_sta import AgingAwareSta, AgingStaResult
-from ..workloads import REPRESENTATIVE, collect_unit_streams
+from ..workloads import REPRESENTATIVE, collect_streams
 
 #: Clock-network repeater chain per tree level (see ClockTree.build).
 CLOCK_CHAIN_LENGTH = 24
@@ -49,6 +50,16 @@ FPU_GATING_DUTY = 0.96
 
 #: The FPU flop that stays on the free-running clock (input handshake).
 FPU_ALWAYS_ON = ("v_q_r0",)
+
+#: Workload whose operand stream profiles each unit: the paper's
+#: representative minver (§4) for the ALU and FPU, and the RV32M
+#: matrix-multiply kernel for the MDU extension, since minver never
+#: issues multiply instructions.
+UNIT_WORKLOADS = {
+    "alu": REPRESENTATIVE,
+    "fpu": REPRESENTATIVE,
+    "mdu": "matmult_hw",
+}
 
 
 @dataclass
@@ -104,7 +115,8 @@ class UnitExperiment:
     def netlist(self) -> Netlist:
         if self._netlist is None:
             builders = {"alu": build_alu, "fpu": build_fpu, "mdu": build_mdu}
-            self._netlist = builders[self.unit]()
+            with telemetry.span("rtl.synth", unit=self.unit):
+                self._netlist = builders[self.unit]()
         return self._netlist
 
     @property
@@ -323,22 +335,31 @@ class ExperimentContext:
                 clock_margin=0.03, max_paths_per_endpoint=100
             )
         )
-        self._streams: Optional[Dict[str, list]] = None
+        self._streams: Dict[str, list] = {}
         self._timing_lib: Optional[AgingTimingLibrary] = None
         self._units: Dict[str, UnitExperiment] = {}
 
     def stream(self, unit: str):
-        """Operand stream for one unit's SP profiling.
+        """Operand stream for one unit's SP profiling (cached per unit).
 
-        The ALU/FPU use the paper's representative workload (minver,
-        §4); the MDU extension uses the RV32M matrix-multiply kernel,
-        since minver never issues multiply instructions.
+        Runs only the unit's :data:`UNIT_WORKLOADS` entry, and stops it
+        once the unit's log holds the op cap.
         """
-        if self._streams is None:
-            self._streams = collect_unit_streams([REPRESENTATIVE])
-            self._streams["mdu"] = collect_unit_streams(["matmult_hw"])[
-                "mdu"
-            ]
+        if unit not in self._streams:
+            workload = UNIT_WORKLOADS[unit]
+            with telemetry.span(
+                "workloads.collect", unit=unit, workload=workload
+            ) as span:
+                collection = collect_streams([workload], units=(unit,))
+                telemetry.add(
+                    "workloads.instructions", collection.instructions
+                )
+                if span is not None:
+                    span.annotate(
+                        instructions=collection.instructions,
+                        stopped_early=collection.stopped_early,
+                    )
+            self._streams[unit] = collection.streams[unit]
         return self._streams[unit]
 
     @property

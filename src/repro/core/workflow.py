@@ -126,6 +126,7 @@ class VegaWorkflow:
         workload_id: Optional[str] = None,
         use_cache: bool = True,
         workers: Optional[int] = None,
+        stream_digest: Optional[str] = None,
     ):
         """SP profiling + aging-aware STA; returns ``(profile, result)``.
 
@@ -136,7 +137,9 @@ class VegaWorkflow:
         model are content-addressed — keyed by the netlist's structural
         hash, the workload (``workload_id`` plus stream content digest),
         cycle count, aging parameters, and corner — so a repeated call
-        with unchanged inputs simulates nothing.
+        with unchanged inputs simulates nothing.  ``stream_digest`` is
+        the stream's :meth:`ArtifactCache.stream_digest` when the
+        caller already has it.
         """
         from ..sim.parallel_profile import profile_workload_streams
         from ..sta.aging_sta import AgingAwareSta
@@ -154,7 +157,7 @@ class VegaWorkflow:
                 "sp-profile",
                 netlist.structural_hash(),
                 workload_id or "",
-                ArtifactCache.stream_digest(operands),
+                stream_digest or ArtifactCache.stream_digest(operands),
                 len(operands),
                 aging.profile_lanes,
             )
@@ -264,6 +267,7 @@ class VegaWorkflow:
         clock_period_ns: Optional[float],
         gated_instances,
         isa_mapper,
+        stream_digest: Optional[str] = None,
     ) -> dict:
         """Content-addressed keys for the three phase checkpoints.
 
@@ -292,7 +296,7 @@ class VegaWorkflow:
         phase1 = ArtifactCache.digest(
             "ckpt-phase1",
             netlist.structural_hash(),
-            ArtifactCache.stream_digest(operands),
+            stream_digest or ArtifactCache.stream_digest(operands),
             len(operands),
             clock_period_ns,
             gated_key,
@@ -350,13 +354,21 @@ class VegaWorkflow:
         operands = list(operand_stream)
         report = WorkflowReport(netlist_name=netlist.name)
         cache = self._artifact_cache()
-        keys = (
-            self._checkpoint_keys(
-                netlist, operands, clock_period_ns, gated_instances, isa_mapper
+        digest = None
+        keys = {}
+        if cache is not None:
+            from .artifacts import ArtifactCache
+
+            # Hashed once: phase 1's checkpoint key and profile key share it.
+            digest = ArtifactCache.stream_digest(operands)
+            keys = self._checkpoint_keys(
+                netlist,
+                operands,
+                clock_period_ns,
+                gated_instances,
+                isa_mapper,
+                stream_digest=digest,
             )
-            if cache is not None
-            else {}
-        )
 
         def _load(phase: str):
             if cache is None or not resume:
@@ -388,6 +400,7 @@ class VegaWorkflow:
                             operands,
                             clock_period_ns=clock_period_ns,
                             gated_instances=gated_instances,
+                            stream_digest=digest,
                         )
                     )
                     _publish(

@@ -42,6 +42,15 @@ class CpuStall(CpuError):
     """
 
 
+class StopRun(Exception):
+    """Raised by a backend to end :meth:`Cpu.run` before ``ecall``.
+
+    ``Cpu.run`` catches it once, outside its instruction loop, and
+    returns a :class:`RunResult` with ``stopped=True`` that counts the
+    instruction during which the backend raised.
+    """
+
+
 class IntBackend(Protocol):
     def execute(self, op: int, a: int, b: int) -> int: ...
 
@@ -97,12 +106,16 @@ class GoldenMdu:
 
 @dataclass
 class RunResult:
-    """Outcome of a completed run (``ecall`` reached)."""
+    """Outcome of a run: ``ecall`` reached, or a backend's :class:`StopRun`.
+
+    A stopped run's ``exit_value`` is whatever a0 held when it stopped.
+    """
 
     exit_value: int
     cycles: int
     instructions: int
     block_counts: Dict[int, int] = field(default_factory=dict)
+    stopped: bool = False
 
 
 MEM_SIZE = 1 << 20
@@ -160,7 +173,10 @@ class Cpu:
 
     # -- execution ------------------------------------------------------
     def run(self, max_instructions: int = 10_000_000) -> RunResult:
-        """Execute until ``ecall``; returns the a0 register as exit value."""
+        """Execute until ``ecall`` (or a backend's :class:`StopRun`).
+
+        Returns the a0 register as exit value.
+        """
         executed = 0
         leaders = self.program.leaders if self.profile else ()
         instructions = self.program.instructions
@@ -168,25 +184,31 @@ class Cpu:
         profiling = self.profile
         block_counts = self.block_counts
         execute = self._execute
-        while True:
-            index = self.pc >> 2
-            if index >= count:
-                raise CpuError(f"PC fell off the program: {self.pc:#x}")
-            if executed >= max_instructions:
-                raise CpuStall(
-                    f"no ecall within {max_instructions} instructions"
-                )
-            if profiling and self.pc in leaders:
-                block_counts[self.pc] = block_counts.get(self.pc, 0) + 1
-            executed += 1
-            if execute(instructions[index]):
-                self.instret += executed
-                return RunResult(
-                    exit_value=self.regs[10],
-                    cycles=self.cycles,
-                    instructions=executed,
-                    block_counts=dict(block_counts),
-                )
+        try:
+            while True:
+                index = self.pc >> 2
+                if index >= count:
+                    raise CpuError(f"PC fell off the program: {self.pc:#x}")
+                if executed >= max_instructions:
+                    raise CpuStall(
+                        f"no ecall within {max_instructions} instructions"
+                    )
+                if profiling and self.pc in leaders:
+                    block_counts[self.pc] = block_counts.get(self.pc, 0) + 1
+                executed += 1
+                if execute(instructions[index]):
+                    break
+            stopped = False
+        except StopRun:
+            stopped = True
+        self.instret += executed
+        return RunResult(
+            exit_value=self.regs[10],
+            cycles=self.cycles,
+            instructions=executed,
+            block_counts=dict(block_counts),
+            stopped=stopped,
+        )
 
     def _execute(self, instr: Instruction) -> bool:
         """Run one instruction; True when the program halts."""

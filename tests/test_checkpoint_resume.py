@@ -150,6 +150,49 @@ class TestCheckpointKeys:
         assert base == knobbed
 
 
+class TestStreamHashedOnce:
+    #: Keys of a cold run under ``_config``, pinned from the collector
+    #: that hashed the stream once per key.
+    PROFILE_KEY = (
+        "1e8286c982c3046a3f7d521dcbbc6299542e98b85021cb905721ea7c65c747a6"
+    )
+    PHASE_KEYS = [
+        "296cb1b87621cfe7df965791c4f00eb04b72a742747a5ba93e34ce60ef677e53",
+        "4d273e4e91f7be5d2ed1523d70a70b8cf2f73b3eb432df1cb27e64d0f838d1b6",
+        "49f1926f123765b4b13a7724acd6e55e1f430fab5cd92cf7481abdf5a743de27",
+    ]
+
+    def test_cold_run_hashes_stream_once(
+        self, alu, alu_stream, tmp_path, monkeypatch
+    ):
+        digest = ArtifactCache.stream_digest
+        calls = []
+        monkeypatch.setattr(
+            ArtifactCache,
+            "stream_digest",
+            staticmethod(lambda ops: calls.append(len(ops)) or digest(ops)),
+        )
+        stored = []
+        for attr in ("store_profile", "store_checkpoint"):
+            store = getattr(ArtifactCache, attr)
+            monkeypatch.setattr(
+                ArtifactCache,
+                attr,
+                lambda self, key, value, store=store, attr=attr: (
+                    stored.append((attr, key)) or store(self, key, value)
+                ),
+            )
+        VegaWorkflow(_config(tmp_path)).run(alu, alu_stream, AluMapper())
+        assert calls == [len(alu_stream)]
+        assert stored == [("store_profile", self.PROFILE_KEY)] + [
+            ("store_checkpoint", key) for key in self.PHASE_KEYS
+        ]
+        keys = VegaWorkflow(_config("unused"))._checkpoint_keys(
+            alu, list(alu_stream), None, None, AluMapper()
+        )
+        assert list(keys.values()) == self.PHASE_KEYS
+
+
 class TestFullResume:
     def test_resume_simulates_zero_cycles(self, baseline, alu, alu_stream):
         report, workflow = baseline

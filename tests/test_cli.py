@@ -90,9 +90,11 @@ class TestCli:
 
 
 class TestRunAndTrace:
-    def test_run_traces_and_resumes(self, tmp_path):
-        from repro.core import telemetry
+    def test_run_traces_and_resumes(self, tmp_path, monkeypatch):
+        from repro.core import experiments, telemetry
 
+        # A fresh process-wide context, as in a new `repro` process.
+        monkeypatch.setattr(experiments, "_DEFAULT_CONTEXT", None)
         cache = str(tmp_path / "cache")
         trace = str(tmp_path / "out.jsonl")
         argv = ["run", "--unit", "alu", "--cache-dir", cache]
@@ -102,18 +104,31 @@ class TestRunAndTrace:
         assert "Vega workflow report" in text
         assert f"trace written to {trace}" in text
         assert "# Vega run metrics" in text
-        # The written trace is valid JSONL covering all three phases.
+        # The written trace is valid JSONL covering synthesis, stream
+        # collection and all three phases.
         records = telemetry.read_trace(trace)
-        phases = {
-            r["name"]
+        top_level = {
+            r["name"]: r
             for r in records
             if r["type"] == "span" and r.get("parent") is None
         }
-        assert phases == {
+        assert set(top_level) == {
+            "rtl.synth",
+            "workloads.collect",
             "phase1.aging_analysis",
             "phase2.error_lifting",
             "phase3.test_integration",
         }
+        # Collection stops minver at the instruction that logs the
+        # 20,000th ALU op.
+        assert top_level["workloads.collect"]["attrs"] == {
+            "unit": "alu",
+            "workload": "minver",
+            "instructions": 56_679,
+            "stopped_early": True,
+        }
+        (totals,) = [r for r in records if r["type"] == "counters"]
+        assert totals["counters"]["workloads.instructions"] == 56_679
 
         # Second invocation resumes every phase from its checkpoint.
         code, text = _run(argv + ["--resume"])
@@ -127,6 +142,8 @@ class TestRunAndTrace:
         assert code == 0
         assert "## Phases" in text
         assert "phase2.error_lifting" in text
+        assert "| rtl.synth |" in text
+        assert "| workloads.collect |" in text
 
     def test_resume_requires_cache(self):
         code, _ = _run(["run", "--unit", "alu", "--resume", "--no-cache"])

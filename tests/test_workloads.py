@@ -1,12 +1,30 @@
 """Tests for the embench-style workloads: independent result mirrors."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.core.artifacts import ArtifactCache
+from repro.core.experiments import UNIT_WORKLOADS, ExperimentContext
 from repro.cpu import float16 as f16
 from repro.cpu.asm import assemble
-from repro.cpu.cpu import Cpu, GoldenAlu, GoldenFpu, run_program
-from repro.workloads import REPRESENTATIVE, WORKLOADS, collect_operand_streams
+from repro.cpu.cpu import (
+    Cpu,
+    GoldenAlu,
+    GoldenFpu,
+    GoldenMdu,
+    RunResult,
+    run_program,
+)
+from repro.workloads import (
+    REPRESENTATIVE,
+    WORKLOADS,
+    collect_operand_streams,
+    collect_unit_streams,
+)
+from repro.workloads import streams as streams_module
+from repro.workloads.streams import UNITS
 
 
 def _run(name):
@@ -153,6 +171,108 @@ class TestOperandStreams:
     def test_stream_cap(self):
         alu_stream, _ = collect_operand_streams(["crc32"], max_ops_per_unit=10)
         assert len(alu_stream) == 10
+
+
+@functools.lru_cache(maxsize=None)
+def _full_logs(names):
+    """Every unit's log after running ``names`` to ``ecall``, uncapped."""
+    backends = {"alu": GoldenAlu(), "fpu": GoldenFpu(), "mdu": GoldenMdu()}
+    for backend in backends.values():
+        backend.log_operands = True
+    for name in names:
+        result = Cpu(assemble(WORKLOADS[name].source), **backends).run()
+        assert not result.stopped
+    return {unit: backend.operand_log for unit, backend in backends.items()}
+
+
+def _assembled_names(monkeypatch):
+    """Record the workloads stream collection assembles, in order."""
+    by_source = {w.source: name for name, w in WORKLOADS.items()}
+    names = []
+
+    def counting(source):
+        names.append(by_source[source])
+        return assemble(source)
+
+    monkeypatch.setattr(streams_module, "assemble", counting)
+    return names
+
+
+#: ``ArtifactCache.stream_digest`` of each unit's profiling stream,
+#: pinned from the full-run-then-slice collector.
+STREAM_DIGESTS = {
+    "alu": "4f5624b45bcd9383a80a3d69478dc526bdbb9515bd46c49e82a14ff34ce07c4b",
+    "fpu": "7d833c5840c7a0cde4c92f3128c1c608574a59eb3dd6d52516c3cdb11833d083",
+    "mdu": "40d62a25f1b00acc82f51e4ea735503698a3f120d2e1b0e109ce7d853863fbe4",
+}
+
+
+@pytest.fixture(scope="module")
+def context_streams():
+    """Per unit: its context stream, the workloads assembled to collect
+    it, and the ``RunResult`` of every ``Cpu.run`` that collection made."""
+    collected = {}
+    with pytest.MonkeyPatch.context() as patch:
+        assembled = _assembled_names(patch)
+        runs = []
+        run = Cpu.run
+
+        def recording_run(self, *args, **kwargs):
+            result = run(self, *args, **kwargs)
+            runs.append(result)
+            return result
+
+        patch.setattr(Cpu, "run", recording_run)
+        context = ExperimentContext()
+        for unit in UNITS:
+            stream = context.stream(unit)
+            collected[unit] = (stream, list(assembled), list(runs))
+            assembled.clear()
+            runs.clear()
+    return collected
+
+
+class TestEarlyStoppedStreams:
+    @pytest.mark.parametrize("cap", [1, 10, 4000, 20_000, 10**7])
+    @pytest.mark.parametrize("unit", UNITS)
+    def test_equals_full_run_sliced(self, unit, cap):
+        names = (UNIT_WORKLOADS[unit],)
+        streams = collect_unit_streams(names, cap, units=(unit,))
+        assert list(streams) == [unit]
+        assert streams[unit] == _full_logs(names)[unit][:cap]
+
+    def test_skips_workloads_after_the_cap(self, monkeypatch):
+        # crc32 alone logs far more than 100 ALU ops.
+        names = ("crc32", "bitcount")
+        assembled = _assembled_names(monkeypatch)
+        streams = collect_unit_streams(names, 100, units=("alu",))
+        assert assembled == ["crc32"]
+        assert streams["alu"] == _full_logs(names)["alu"][:100]
+
+
+class TestContextStreams:
+    @pytest.mark.parametrize("unit", UNITS)
+    def test_digest_unchanged(self, context_streams, unit):
+        stream, _, _ = context_streams[unit]
+        assert ArtifactCache.stream_digest(stream) == STREAM_DIGESTS[unit]
+
+    @pytest.mark.parametrize("unit", UNITS)
+    def test_runs_only_the_units_workload(self, context_streams, unit):
+        _, assembled, runs = context_streams[unit]
+        assert assembled == [UNIT_WORKLOADS[unit]]
+        assert len(runs) == 1
+
+    def test_alu_run_stops_at_the_cap(self, context_streams):
+        _, _, (result,) = context_streams["alu"]
+        assert isinstance(result, RunResult)
+        assert result.stopped
+        assert result.instructions == 56_679
+
+    def test_mdu_workload_runs_to_ecall(self, context_streams):
+        # matmult_hw issues fewer multiplies than the op cap.
+        stream, _, (result,) = context_streams["mdu"]
+        assert not result.stopped
+        assert len(stream) < 20_000
 
 
 class TestWorkloadRegistry:
